@@ -34,9 +34,10 @@
 //                         at admission, small requests must keep
 //                         succeeding (their p50/p99 under pressure is
 //                         reported against the baseline), and one
-//                         injected mid-build budget failure must degrade
-//                         dense->hmat rather than fail.  The JSON goes
-//                         into BENCH_serve.json as the "pressure" object.
+//                         injected mid-build budget failure must draw a
+//                         status-7 refusal after which `health` still
+//                         answers.  The JSON goes into BENCH_serve.json
+//                         as the "pressure" object.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -424,7 +425,8 @@ int run_hostile(const std::string& socket, std::size_t total_clients) {
 /// --pressure: the resource-governance story under load.  A tight budget
 /// must split traffic cleanly — oversized requests refused at admission
 /// with status 7, small requests unaffected — and an injected mid-build
-/// budget failure must degrade, not fail.
+/// budget failure must be a status-7 refusal that leaves the daemon
+/// healthy.
 int run_pressure() {
   const std::string root =
       (std::filesystem::temp_directory_path() / "rlcx_bench_pressure")
@@ -509,13 +511,14 @@ int run_pressure() {
   const double p99 = percentile(all_small, 0.99);
 
   // Phase 3: a budget failure in the middle of a live characterisation
-  // (fresh cache key) must degrade dense->hmat, not fail the request.
-  // Per-request alloc_fail order: 1 = admission estimate, 2 = table-grid
-  // reservation, 3 = the first grid point's dense-path probe.
-  const std::uint64_t degradations_before =
-      res::Budget::global().stats().degradations;
+  // (fresh cache key) must refuse that request with status 7 and leave
+  // the daemon answering `health`.  Per-request alloc_fail order: 1 =
+  // admission estimate, 2 = table-grid reservation, 3 = the first grid
+  // point's impedance-solve reservation.
+  const std::uint64_t refusals_before = res::Budget::global().stats().refusals;
   run::FaultInjector::global().set_schedule("alloc_fail:3");
-  bool degrade_ok = false;
+  bool midbuild_refused = false;
+  bool health_ok = false;
   {
     serve::Client client(socket);
     std::vector<std::string> fresh = extract_argv();
@@ -523,11 +526,15 @@ int run_pressure() {
     // tables build live under the tight budget.
     fresh.push_back("--points");
     fresh.push_back("5");
-    degrade_ok = client.request(fresh).status == 0;
+    const serve::Response r = client.request(fresh);
+    midbuild_refused =
+        r.status == 7 && r.err.find("resource-exhausted") != std::string::npos;
+    run::FaultInjector::global().clear();
+    const serve::Response h = client.request({"health"});
+    health_ok = h.status == 0 && h.out.rfind("healthy\n", 0) == 0;
   }
-  run::FaultInjector::global().clear();
-  const std::uint64_t degradations =
-      res::Budget::global().stats().degradations - degradations_before;
+  const std::uint64_t midbuild_refusals =
+      res::Budget::global().stats().refusals - refusals_before;
 
   const std::size_t admission_refused = server.admission().stats().refused;
   {
@@ -550,17 +557,18 @@ int run_pressure() {
       "  \"oversized\": {\"requests\": %zu, \"refused\": %zu, "
       "\"refusal_rate\": %.2f},\n"
       "  \"admission_refused\": %zu,\n"
-      "  \"degradations\": %llu,\n"
-      "  \"degrade_request_ok\": %s\n}\n",
+      "  \"midbuild_refusals\": %llu,\n"
+      "  \"midbuild_refused\": %s,\n"
+      "  \"health_after_refusal\": %s\n}\n",
       static_cast<unsigned long long>(kBudgetMib), baseline.requests,
       baseline.p50_ms, baseline.p99_ms, all_small.size(), p50, p99,
       small_failures.load(), pressure_wall_s, kOversized, refused.load(),
       refusal_rate, admission_refused,
-      static_cast<unsigned long long>(degradations),
-      degrade_ok ? "true" : "false");
+      static_cast<unsigned long long>(midbuild_refusals),
+      midbuild_refused ? "true" : "false", health_ok ? "true" : "false");
   const bool pass = small_failures.load() == 0 &&
-                    refused.load() == kOversized && degradations >= 1 &&
-                    degrade_ok;
+                    refused.load() == kOversized && midbuild_refusals >= 1 &&
+                    midbuild_refused && health_ok;
   if (!pass)
     std::fprintf(stderr, "pressure run failed acceptance\n%s",
                  daemon_log.str().c_str());

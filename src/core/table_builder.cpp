@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "geom/builders.h"
-#include "hmat/stats.h"
 #include "numeric/units.h"
 #include "peec/assembly.h"
 #include "peec/kernel_batch.h"
@@ -154,7 +153,6 @@ InductanceTables build_tables(const geom::Technology& tech, int layer,
   GridSolvePlan plan(tech, layer, planes, grid, opt);
   const peec::FillStats fills0 = peec::fill_stats_total();
   const peec::BatchStats batches0 = peec::batch_stats_total();
-  const hmat::SolveStats solves0 = hmat::solve_stats_total();
   const res::Stats res0 = res::Budget::global().stats();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -205,19 +203,9 @@ InductanceTables build_tables(const geom::Technology& tech, int layer,
     stats->batch_filament_terms =
         batches1.filament_terms - batches0.filament_terms;
     stats->batch_eval_nanos = batches1.eval_nanos - batches0.eval_nanos;
-    const hmat::SolveStats solves1 = hmat::solve_stats_total();
-    stats->dense_solves = solves1.dense_solves - solves0.dense_solves;
-    stats->hmat_solves = solves1.hmat_solves - solves0.hmat_solves;
-    stats->gmres_iterations =
-        solves1.gmres_iterations - solves0.gmres_iterations;
-    stats->gmres_fallbacks = solves1.gmres_fallbacks - solves0.gmres_fallbacks;
-    stats->hmat_stored_entries =
-        solves1.stored_entries - solves0.stored_entries;
-    stats->hmat_full_entries = solves1.full_entries - solves0.full_entries;
     const res::Stats res1 = res::Budget::global().stats();
     stats->mem_limit_bytes = res1.limit_bytes;
     stats->mem_peak_bytes = res1.peak_bytes;
-    stats->mem_degradations = res1.degradations - res0.degradations;
     stats->mem_refusals = res1.refusals - res0.refusals;
   }
   return plan.finish();

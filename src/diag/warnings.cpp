@@ -1,5 +1,7 @@
 #include "diag/warnings.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <mutex>
 #include <unordered_set>
@@ -14,13 +16,22 @@ std::mutex& handler_mutex() {
   return m;
 }
 
+struct HandlerEntry {
+  std::uint64_t token;
+  WarningHandler handler;
+};
+
 // Innermost-wins handler stack.  Guarded by handler_mutex(); emission holds
 // the lock through the handler call so a handler writing to a CLI stream
-// needs no synchronisation of its own.
-std::vector<WarningHandler>& handler_stack() {
-  static std::vector<WarningHandler> stack;
+// needs no synchronisation of its own.  Each ScopedWarningHandler removes
+// its own entry by token, so handlers installed on different threads may
+// be destroyed in any order.
+std::vector<HandlerEntry>& handler_stack() {
+  static std::vector<HandlerEntry> stack;
   return stack;
 }
+
+std::uint64_t next_handler_token = 0;  // guarded by handler_mutex()
 
 // Warn-once dedup state (guarded by handler_mutex()).  The depth counts
 // open ScopedWarningDedup scopes process-wide: worker threads emit while a
@@ -58,7 +69,7 @@ void emit_warning(Category category, std::string stage, std::string message) {
     return;
   }
   if (!handler_stack().empty()) {
-    handler_stack().back()(w);
+    handler_stack().back().handler(w);
     return;
   }
   std::cerr << format_warning(w) << "\n";
@@ -66,12 +77,17 @@ void emit_warning(Category category, std::string stage, std::string message) {
 
 ScopedWarningHandler::ScopedWarningHandler(WarningHandler handler) {
   std::lock_guard<std::mutex> lock(handler_mutex());
-  handler_stack().push_back(std::move(handler));
+  token_ = next_handler_token++;
+  handler_stack().push_back({token_, std::move(handler)});
 }
 
 ScopedWarningHandler::~ScopedWarningHandler() {
   std::lock_guard<std::mutex> lock(handler_mutex());
-  handler_stack().pop_back();
+  std::vector<HandlerEntry>& stack = handler_stack();
+  stack.erase(std::find_if(stack.begin(), stack.end(),
+                           [this](const HandlerEntry& e) {
+                             return e.token == token_;
+                           }));
 }
 
 ScopedWarningDedup::ScopedWarningDedup() {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -37,9 +38,11 @@ void emit_warning(Category category, std::string stage, std::string message);
 
 using WarningHandler = std::function<void(const Warning&)>;
 
-/// RAII: routes warnings to `handler` for this object's lifetime, restoring
-/// the previous handler on destruction.  Nesting is allowed; the innermost
-/// wins.  Handlers may be invoked from any thread (emission is serialised).
+/// RAII: routes warnings to `handler` for this object's lifetime.  Nesting
+/// is allowed; the most recently installed live handler wins.  Destruction
+/// removes exactly this handler, whichever thread installed the others and
+/// in whatever order they go.  Handlers may be invoked from any thread
+/// (emission is serialised).
 class ScopedWarningHandler {
  public:
   explicit ScopedWarningHandler(WarningHandler handler);
@@ -47,6 +50,9 @@ class ScopedWarningHandler {
 
   ScopedWarningHandler(const ScopedWarningHandler&) = delete;
   ScopedWarningHandler& operator=(const ScopedWarningHandler&) = delete;
+
+ private:
+  std::uint64_t token_ = 0;
 };
 
 /// RAII: while alive, warnings that render to identical text are delivered

@@ -168,9 +168,8 @@ RealMatrix partial_inductance_matrix(const std::vector<Filament>& filaments,
         // coincident-bar layout error, and must reach the kernel's
         // disjointness guard instead of silently reusing a self value.
         auto& ids = i == j ? self_ids : pair_ids;
-        const PairKey key =
-            i == j ? make_self_key(bi, quantum)
-                   : make_pair_key(bi, bj, quantum, opt.memo_fold_symmetries);
+        const PairKey key = i == j ? make_self_key(bi, quantum)
+                                   : make_pair_key(bi, bj, quantum);
         const auto [it, inserted] =
             ids.try_emplace(key, static_cast<std::uint32_t>(classes.size()));
         if (inserted) {

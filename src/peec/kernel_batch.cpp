@@ -26,9 +26,9 @@ std::atomic<std::uint64_t> g_eval_nanos{0};
 constexpr std::size_t kVolumeGrain = 128;
 constexpr std::size_t kFilamentGrain = 1024;
 
-// Batches smaller than a couple of chunks run inline: the hmat sampling
-// path evaluates single-entry batches under its shard locks, where even
-// an inline-returning parallel_for dispatch is measurable overhead.
+// Batches smaller than a couple of chunks run inline: for a handful of
+// entries even an inline-returning parallel_for dispatch is measurable
+// overhead.
 constexpr std::size_t kInlineCutoff = 2;
 
 using VolumeFn = void (*)(const detail::VolumeSoa&, std::size_t, std::size_t,

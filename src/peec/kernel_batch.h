@@ -1,8 +1,7 @@
 // Batched (SoA) evaluation of the partial-inductance kernels — the SIMD
 // engine behind every matrix-fill path.
 //
-// The three-pass fill (peec/assembly.cpp) and the hmat sampling oracle
-// (hmat/kernel_matrix.cpp) both reduce their work to "evaluate these
+// The three-pass fill (peec/assembly.cpp) reduces its work to "evaluate these
 // self/mutual bar pairs".  Each such class evaluation decomposes into chunk
 // pairs, and each chunk pair is either a Hoer-Love volume integral (64
 // corner evaluations of f(x,y,z)) or a filament closed form.  Evaluated one

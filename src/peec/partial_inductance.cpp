@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "diag/error.h"
@@ -307,8 +306,7 @@ PairKey make_self_key(const Bar& bar, double quantum) {
   return k;
 }
 
-PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
-                      bool fold_symmetries) {
+PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum) {
   PairKey k;
   k.w1 = quantize(b1.t_width, quantum);
   k.h1 = quantize(b1.z_thick, quantum);
@@ -319,23 +317,6 @@ PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
   k.dt = quantize(b2.t_center() - b1.t_center(), quantum);
   k.dz = quantize(b2.z_center() - b1.z_center(), quantum);
   k.da = quantize(b2.a_center() - b1.a_center(), quantum);
-  if (!fold_symmetries) return k;
-  // Mirror symmetry about each coordinate plane through bar 1's center
-  // negates that center offset and changes nothing else, so the absolute
-  // offsets are canonical per axis.  llround is odd, so quantizing before
-  // taking the magnitude keeps reflected copies in the same bucket.
-  k.dt = std::abs(k.dt);
-  k.dz = std::abs(k.dz);
-  k.da = std::abs(k.da);
-  // Reciprocity: exchanging the bars negates every offset (absorbed by the
-  // magnitudes above) and swaps the dimension triples — order them.
-  const auto t1 = std::tie(k.w1, k.h1, k.l1);
-  const auto t2 = std::tie(k.w2, k.h2, k.l2);
-  if (t2 < t1) {
-    std::swap(k.w1, k.w2);
-    std::swap(k.h1, k.h2);
-    std::swap(k.l1, k.l2);
-  }
   return k;
 }
 

@@ -32,14 +32,6 @@ struct PartialOptions {
   /// fills (partial_inductance_matrix).  On a regular mesh this turns the
   /// O(n^2) pair fill into O(unique classes) kernel evaluations.
   bool memo = true;
-  /// Additionally fold per-axis mirror reflections and bar exchange into
-  /// the pair key (the kernel's remaining symmetries).  Roughly doubles
-  /// the reuse on symmetric structures, but a mirrored pair sums the
-  /// 64-term bracket's mutually-cancelling terms in a different order, so
-  /// the fill then matches the direct fill only to the kernel's
-  /// cancellation-noise floor (~1e-9 relative) instead of bit-exactly —
-  /// which is why it is opt-in (see docs/performance.md).
-  bool memo_fold_symmetries = false;
   /// Relative tolerance of the PairKey quantization, in units of the fill's
   /// largest geometric extent.  1e-12 is ~4 decades above coordinate
   /// round-off (so translated copies of the same pair land in one class)
@@ -101,16 +93,12 @@ double mutual_partial_chunked(const Bar& b1, const Bar& b2,
 // only — never of absolute position (paper Foundations 1-2: translation
 // invariance).  It is furthermore unchanged by reflecting any coordinate
 // axis (mirror isometry) and by exchanging the bars (reciprocity).
-// PairKey always canonicalizes under translation (dimensions and signed
-// center offsets quantized to a relative tolerance); with fold_symmetries
-// it additionally takes |center offsets| and puts the bar with the
-// lexicographically smaller (width, thickness, length) triple first.
-// Translation-equal pairs on a regular mesh present bit-identical inputs
-// to the kernel, so the translation-only key preserves the direct fill
-// bit-for-bit; mirror/exchange-equal pairs are mathematically equal but
-// sum the bracket's cancelling terms in a different order, so folding
-// them trades bit-reproducibility (down to the kernel's ~1e-9 relative
-// cancellation noise) for roughly double the reuse.
+// PairKey canonicalizes under translation only (dimensions and signed
+// center offsets quantized to a relative tolerance).  Translation-equal
+// pairs on a regular mesh present bit-identical inputs to the kernel, so
+// the key preserves the direct fill bit-for-bit; mirror/exchange-equal
+// pairs are mathematically equal but sum the bracket's cancelling terms
+// in a different order, so they stay separate classes.
 
 struct PairKey {
   // Quantized bar dimensions (bar 1, then bar 2) and center offsets, all
@@ -127,10 +115,8 @@ struct PairKeyHash {
 
 /// Canonical key of a same-axis pair; `quantum` is the absolute geometric
 /// tolerance (fill scale × PartialOptions::memo_rel_tol).  Any translated
-/// copy of the pair maps to the same key; with fold_symmetries, mirrored
-/// copies and both orderings do too.
-PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum,
-                      bool fold_symmetries = false);
+/// copy of the pair maps to the same key.
+PairKey make_pair_key(const Bar& b1, const Bar& b2, double quantum);
 
 /// Key of a bar's self class: (w, h, l) quantized, offsets zero.
 PairKey make_self_key(const Bar& bar, double quantum);

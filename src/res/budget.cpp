@@ -126,15 +126,10 @@ Stats Budget::stats() const noexcept {
   s.tracked_bytes = tracked();
   s.reserved_bytes = reserved();
   s.peak_bytes = peak();
-  s.degradations = degradations_.load(std::memory_order_relaxed);
   s.refusals = refusals_.load(std::memory_order_relaxed);
   s.contained_bad_allocs =
       contained_bad_allocs_.load(std::memory_order_relaxed);
   return s;
-}
-
-void Budget::record_degradation() noexcept {
-  degradations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Budget::record_refusal() noexcept {
@@ -159,16 +154,12 @@ bool admission_exhausted(std::uint64_t bytes) noexcept {
   return false;
 }
 
-Reservation::Reservation(const char* stage, std::uint64_t bytes,
-                         OnExhausted policy) {
+Reservation::Reservation(const char* stage, std::uint64_t bytes) {
   Budget& b = Budget::global();
-  bool refused = run::fault_point("alloc_fail");
-  if (!refused && !b.try_charge(bytes)) refused = true;
-  if (!refused) {
+  if (!run::fault_point("alloc_fail") && b.try_charge(bytes)) {
     bytes_ = bytes;
     return;
   }
-  if (policy == OnExhausted::kDecline) return;  // caller degrades
   b.record_refusal();
   throw diag::ResourceExhaustedError(
       stage, refusal_message(bytes, b.in_use(), b.limit()));
@@ -194,18 +185,12 @@ void Reservation::release() noexcept {
   }
 }
 
-ScopedReservation::ScopedReservation(const char* stage, std::uint64_t bytes,
-                                     OnExhausted policy)
-    : reservation_(stage, bytes, policy) {
-  if (reservation_.held()) {
-    ++t_ambient_depth;
-    entered_ = true;
-  }
+ScopedReservation::ScopedReservation(const char* stage, std::uint64_t bytes)
+    : reservation_(stage, bytes) {
+  ++t_ambient_depth;
 }
 
-ScopedReservation::~ScopedReservation() {
-  if (entered_) --t_ambient_depth;
-}
+ScopedReservation::~ScopedReservation() { --t_ambient_depth; }
 
 bool ScopedReservation::covered() noexcept { return t_ambient_depth > 0; }
 

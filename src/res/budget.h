@@ -1,5 +1,5 @@
 // Process-wide resource governance: a memory budget with accounting,
-// reservations and graceful-degradation hooks.
+// reservations and typed refusal.
 //
 // The stack's failure mode without this subsystem is binary: a request
 // either fits in RAM or the process dies (std::bad_alloc at best, the OOM
@@ -18,10 +18,10 @@
 //     live/peak byte counters honest so estimators can be validated and
 //     `stats` output means something.
 //   * enforcement — Reservation/ScopedReservation, taken at a handful of
-//     coarse, *serial* decision points (solver path selection, table-grid
+//     coarse, *serial* decision points (the impedance solve, table-grid
 //     construction, serve admission) before any fan-out.  Enforcing only
-//     at serial points is what makes the degrade/refuse decision
-//     deterministic across pool widths (docs/parallelism.md).
+//     at serial points is what makes the refuse decision deterministic
+//     across pool widths (docs/parallelism.md).
 //
 // Budget resolution order: --mem-budget MiB > RLCX_MEM_BUDGET (MiB) >
 // default (half of physical RAM); 0 means unlimited.
@@ -45,7 +45,6 @@ struct Stats {
   std::uint64_t tracked_bytes = 0;   ///< live bytes seen by allocator hooks
   std::uint64_t reserved_bytes = 0;  ///< outstanding reservation charges
   std::uint64_t peak_bytes = 0;      ///< high-water of tracked + reserved
-  std::uint64_t degradations = 0;    ///< dense->hmat budget downgrades
   std::uint64_t refusals = 0;        ///< hard reservation/admission refusals
   std::uint64_t contained_bad_allocs = 0;  ///< bad_allocs converted to 7
 
@@ -78,7 +77,6 @@ class Budget {
 
   Stats stats() const noexcept;
 
-  void record_degradation() noexcept;
   void record_refusal() noexcept;
   void record_contained_bad_alloc() noexcept;
 
@@ -95,7 +93,6 @@ class Budget {
   std::atomic<std::uint64_t> tracked_{0};
   std::atomic<std::uint64_t> reserved_{0};
   std::atomic<std::uint64_t> peak_{0};
-  std::atomic<std::uint64_t> degradations_{0};
   std::atomic<std::uint64_t> refusals_{0};
   std::atomic<std::uint64_t> contained_bad_allocs_{0};
 };
@@ -112,22 +109,15 @@ std::uint64_t default_limit_bytes() noexcept;
 /// counted as a refusal.
 bool admission_exhausted(std::uint64_t bytes) noexcept;
 
-/// What a Reservation does when the budget refuses the charge.
-enum class OnExhausted {
-  kThrow,    ///< throw diag::ResourceExhaustedError (counted as a refusal)
-  kDecline,  ///< construct un-held; the caller degrades to a cheaper path
-};
-
 /// A movable charge against the global budget, for reservations whose
 /// lifetime outlives a scope (e.g. a member of core::GridSolvePlan).
 /// Acquiring fires the `alloc_fail` fault point exactly once.
 class Reservation {
  public:
   Reservation() noexcept = default;
-  /// Charges `bytes` under the kThrow policy.
-  Reservation(const char* stage, std::uint64_t bytes)
-      : Reservation(stage, bytes, OnExhausted::kThrow) {}
-  Reservation(const char* stage, std::uint64_t bytes, OnExhausted policy);
+  /// Charges `bytes`; a refused charge throws diag::ResourceExhaustedError
+  /// (counted as a refusal).
+  Reservation(const char* stage, std::uint64_t bytes);
   Reservation(Reservation&& other) noexcept;
   Reservation& operator=(Reservation&& other) noexcept;
   Reservation(const Reservation&) = delete;
@@ -135,8 +125,6 @@ class Reservation {
   ~Reservation();
 
   void release() noexcept;
-  bool held() const noexcept { return bytes_ != 0; }
-  std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
   std::uint64_t bytes_ = 0;
@@ -144,27 +132,22 @@ class Reservation {
 
 /// Scope-bound reservation that also marks the calling thread as covered,
 /// the same ambient pattern as run::ScopedRunControl: nested reservation
-/// sites (peec fill under the solver's reservation, hmat assembly under
-/// the hmat-path reservation) see covered() and skip re-charging, so one
-/// logical stage is charged once no matter how deep the call tree.
+/// sites (peec fill under the solver's reservation) see covered() and
+/// skip re-charging, so one logical stage is charged once no matter how
+/// deep the call tree.
 /// Not movable — it registers with the constructing thread.
 class ScopedReservation {
  public:
-  ScopedReservation(const char* stage, std::uint64_t bytes,
-                    OnExhausted policy = OnExhausted::kThrow);
+  ScopedReservation(const char* stage, std::uint64_t bytes);
   ScopedReservation(const ScopedReservation&) = delete;
   ScopedReservation& operator=(const ScopedReservation&) = delete;
   ~ScopedReservation();
 
-  bool held() const noexcept { return reservation_.held(); }
-  std::uint64_t bytes() const noexcept { return reservation_.bytes(); }
-
-  /// True when the calling thread is inside a held ScopedReservation.
+  /// True when the calling thread is inside a ScopedReservation.
   static bool covered() noexcept;
 
  private:
   Reservation reservation_;
-  bool entered_ = false;
 };
 
 /// Minimal allocator that routes byte counts through Budget accounting.

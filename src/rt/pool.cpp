@@ -232,16 +232,14 @@ void TaskGroup::run(std::function<void()> fn) {
 }
 
 void TaskGroup::task_done(std::exception_ptr error) {
-  if (error) {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    if (!impl_->first_error) impl_->first_error = std::move(error);
-  }
-  if (impl_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Notify under the lock so a waiter cannot miss the final decrement
-    // between its predicate check and its sleep.
-    std::lock_guard<std::mutex> lock(impl_->m);
+  // Decrement and notify under the lock that wait() takes before it
+  // returns: a helping waiter that sees pending == 0 cannot return (and
+  // destroy the group) until this call has stopped touching it, and a
+  // sleeping waiter cannot miss the final decrement.
+  std::lock_guard<std::mutex> lock(impl_->m);
+  if (error && !impl_->first_error) impl_->first_error = std::move(error);
+  if (impl_->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
     impl_->cv.notify_all();
-  }
 }
 
 void TaskGroup::wait() {

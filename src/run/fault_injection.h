@@ -40,12 +40,11 @@
 //                  offset)
 //   journal_fsync  BatchJournal fsync (Durability::kFsync) failure
 //   alloc_fail     res::Reservation acquire + serve admission estimate
-//                  (every memory-budget reservation point: solver path
-//                  selection, table-grid construction, peec/hmat fills,
-//                  cost-based admission).  Firing makes that reservation
-//                  behave as over-budget: the degradation ladder runs
-//                  (dense->hmat, then typed refusal / exit 7) without
-//                  real memory pressure
+//                  (every memory-budget reservation point: the impedance
+//                  solve, table-grid construction, peec fills, cost-based
+//                  admission).  Firing makes that reservation behave as
+//                  over-budget: a typed refusal (exit 7) without real
+//                  memory pressure
 //   accept_emfile  serve accept() loop: simulated EMFILE from accept
 //   sock_reset_midframe  serve/protocol write_all between header and
 //                  payload (peer reset mid-frame)

@@ -3,22 +3,13 @@
 #include "diag/error.h"
 
 #include <algorithm>
-#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <memory>
 #include <numbers>
-#include <optional>
-#include <stdexcept>
 #include <string>
 
-#include "diag/warnings.h"
 #include "res/budget.h"
-#include "hmat/cluster_tree.h"
-#include "hmat/gmres.h"
-#include "hmat/hmatrix.h"
-#include "hmat/kernel_matrix.h"
-#include "hmat/stats.h"
 #include "numeric/lu.h"
 #include "peec/assembly.h"
 #include "peec/mesh.h"
@@ -69,32 +60,31 @@ std::vector<peec::Filament> mesh_conductor(const peec::Bar& envelope,
   return out;
 }
 
-/// Y = P^T (Z^-1 P) reduced to conductor level, then inverted.  zinv_p is
-/// Z^-1 P with column c the response to conductor c's 0/1 indicator.  Row a
-/// of Y accumulates the zinv_p rows of conductor a's filaments, in
-/// ascending filament order (the same order the dense triple loop this
-/// replaces summed its nonzero terms in).
-ComplexMatrix reduce_to_conductors(const ComplexMatrix& zinv_p,
-                                   const std::vector<std::size_t>& owner,
-                                   std::size_t nc) {
-  const std::size_t nf = owner.size();
-  ComplexMatrix y(nc, nc);
-  for (std::size_t i = 0; i < nf; ++i) {
-    const std::size_t a = owner[i];
-    for (std::size_t b = 0; b < nc; ++b) y(a, b) += zinv_p(i, b);
+/// Conductor-level complex impedance matrix at the solve frequency:
+/// filaments of a conductor are strictly parallel, so
+/// Z_cond = (P^T Z_fil^{-1} P)^{-1} exactly, for any terminal conditions.
+/// Full dense fill + blocked LU (numeric/lu.h).
+ComplexMatrix conductor_impedance(const std::vector<Conductor>& conductors,
+                                  const SolveOptions& opt) {
+  std::vector<peec::Filament> all;
+  std::vector<std::size_t> owner;
+  for (std::size_t c = 0; c < conductors.size(); ++c) {
+    for (const peec::Filament& f : conductors[c].filaments) {
+      all.push_back(f);
+      owner.push_back(c);
+    }
   }
-  return inverse(y);
-}
-
-/// Dense oracle: full fill + blocked LU (numeric/lu.h).
-ComplexMatrix conductor_impedance_dense(const std::vector<peec::Filament>& all,
-                                        const std::vector<std::size_t>& owner,
-                                        std::size_t nc,
-                                        const SolveOptions& opt) {
+  const std::size_t nc = conductors.size();
   const std::size_t nf = all.size();
+  // Reserve-or-refuse (docs/robustness.md "Resource governance"): the
+  // reservation happens here on the serial spine, before any pool fan-out,
+  // so the outcome is identical at every pool width.  A charge the budget
+  // refuses unwinds as ResourceExhaustedError (exit code 7).
+  const res::ScopedReservation reservation(
+      "solver-dense", estimate_dense_solve_bytes(nf, nc));
+
   const RealMatrix lp = peec::partial_inductance_matrix(all, opt.partial);
   const double omega = 2.0 * std::numbers::pi * opt.frequency;
-
   ComplexMatrix z(nf, nf);
   for (std::size_t i = 0; i < nf; ++i) {
     for (std::size_t j = 0; j < nf; ++j)
@@ -122,323 +112,16 @@ ComplexMatrix conductor_impedance_dense(const std::vector<peec::Filament>& all,
     for (std::size_t i = 0; i < nf; ++i)
       for (std::size_t b = lo; b < hi; ++b) zinv_p(i, b) = x(i, b - lo);
   });
-  hmat::record_dense_solve();
-  return reduce_to_conductors(zinv_p, owner, nc);
-}
 
-/// Hierarchical path: H-matrix operator (dense near field + ACA far field)
-/// with per-conductor GMRES solves under a two-level preconditioner:
-/// restricted additive Schwarz over a cluster-tree cut plus a coarse
-/// conductor-space Galerkin correction.
-ComplexMatrix conductor_impedance_hmat(const std::vector<peec::Filament>& all,
-                                       const std::vector<std::size_t>& owner,
-                                       std::size_t nc,
-                                       const SolveOptions& opt) {
-  const std::size_t nf = all.size();
-  const double omega = 2.0 * std::numbers::pi * opt.frequency;
-  const HmatSolveOptions& ho = opt.hmat;
-
-  hmat::HmatOptions hop;
-  hop.leaf_size = ho.leaf_size;
-  hop.eta = ho.eta;
-  hop.aca_tol = ho.aca_tol;
-  hop.max_rank = ho.max_rank;
-  hmat::KernelMatrix kernel(all, opt.partial);
-  hmat::ClusterTree tree(kernel.filaments(), hop.leaf_size);
-  hmat::HMatrix h(kernel, tree, hop);
-
-  std::vector<double> resist(nf);
-  for (std::size_t i = 0; i < nf; ++i) resist[i] = all[i].resistance;
-
-  // Z x = j*omega*(Lp x) + R .* x — the only complex structure is the
-  // frequency rotation, so the real H-matrix serves both parts.
-  auto apply_z = [&](const Complex* x, Complex* y) {
-    h.matvec(x, y);
-    for (std::size_t i = 0; i < nf; ++i)
-      y[i] = Complex(0.0, omega) * y[i] + resist[i] * x[i];
-  };
-
-  // Restricted additive Schwarz preconditioner: exact dense Z over a cut
-  // of the cluster tree, each block widened by an overlap margin,
-  // LU-factored; the solve writes back only a block's interior (the cut
-  // partition), so write ranges stay disjoint.  The cut stops at
-  // `precond_block` filaments — decoupled from the H-matrix leaf size on
-  // purpose: the preconditioner block size and overlap control the GMRES
-  // convergence rate, while the tree leaf size controls compression.  The
-  // cluster tree splits at coordinate medians, so a permuted index range
-  // is spatially contiguous and the overlap margin picks up exactly the
-  // nearest neighbouring filaments.
-  const std::vector<std::size_t>& perm = tree.permutation();
-  struct PcBlock {
-    std::size_t lo, hi;  ///< extended (overlapped) permuted range
-    std::size_t ib, ie;  ///< interior range: the cut partition
-  };
-  const std::size_t overlap = ho.precond_block / 4;
-  std::vector<PcBlock> pc_blocks;
-  {
-    std::vector<std::size_t> walk{tree.root()};
-    while (!walk.empty()) {
-      const std::size_t ni = walk.back();
-      walk.pop_back();
-      const hmat::ClusterNode& node = tree.node(ni);
-      if (node.leaf() || node.count() <= ho.precond_block) {
-        PcBlock pb;
-        pb.ib = node.begin;
-        pb.ie = node.begin + node.count();
-        pb.lo = pb.ib > overlap ? pb.ib - overlap : 0;
-        pb.hi = std::min(nf, pb.ie + overlap);
-        pc_blocks.push_back(pb);
-        continue;
-      }
-      // Push child1 first so the cut comes out in ascending index order.
-      walk.push_back(static_cast<std::size_t>(node.child1));
-      walk.push_back(static_cast<std::size_t>(node.child0));
-    }
+  // Y = P^T (Z^-1 P) reduced to conductor level, then inverted.  Row a of
+  // Y accumulates the zinv_p rows of conductor a's filaments, in ascending
+  // filament order.
+  ComplexMatrix y(nc, nc);
+  for (std::size_t i = 0; i < nf; ++i) {
+    const std::size_t a = owner[i];
+    for (std::size_t b = 0; b < nc; ++b) y(a, b) += zinv_p(i, b);
   }
-  std::vector<std::unique_ptr<LuDecomposition<Complex>>> block_lu(
-      pc_blocks.size());
-  try {
-    rt::parallel_for(0, pc_blocks.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t li = lo; li < hi; ++li) {
-        const PcBlock& pb = pc_blocks[li];
-        const std::size_t m = pb.hi - pb.lo;
-        ComplexMatrix zb(m, m);
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::size_t oi = perm[pb.lo + i];
-          for (std::size_t j = 0; j < m; ++j) {
-            const std::size_t oj = perm[pb.lo + j];
-            zb(i, j) = Complex(0.0, omega * kernel.entry(oi, oj));
-          }
-          zb(i, i) += resist[oi];
-        }
-        block_lu[li] =
-            std::make_unique<LuDecomposition<Complex>>(std::move(zb));
-      }
-    });
-  } catch (const diag::SingularSystem& e) {
-    throw diag::SingularSystem(
-        "solver", "hmat solver path (Schwarz preconditioner): " +
-                      e.message(),
-        e.column(), e.dimension(), e.condition_estimate());
-  }
-  // Coarse level: the Galerkin operator A_c = P^T Z P over the
-  // per-conductor indicator space (P's column c is conductor c's 0/1
-  // indicator).  The Schwarz blocks above capture intra-conductor skin
-  // coupling but are blind to the long-range inductive coupling between
-  // conductors — exactly the modes the indicator space spans.  A_c costs
-  // one H-matrix apply per conductor and is a tiny nc x nc LU, so the
-  // coarse correction adds far less per GMRES iteration than it saves.
-  // Column c of A_c is written by exactly one task: deterministic.
-  ComplexMatrix ac(nc, nc);
-  rt::parallel_for(0, nc, [&](std::size_t lo, std::size_t hi) {
-    std::vector<Complex> e(nf), col(nf);
-    for (std::size_t c = lo; c < hi; ++c) {
-      for (std::size_t i = 0; i < nf; ++i)
-        e[i] = owner[i] == c ? Complex(1.0, 0.0) : Complex(0.0, 0.0);
-      apply_z(e.data(), col.data());
-      for (std::size_t i = 0; i < nf; ++i) ac(owner[i], c) += col[i];
-    }
-  });
-  std::unique_ptr<LuDecomposition<Complex>> coarse_lu;
-  try {
-    coarse_lu = std::make_unique<LuDecomposition<Complex>>(std::move(ac));
-  } catch (const diag::SingularSystem& e) {
-    throw diag::SingularSystem(
-        "solver",
-        "hmat solver path (coarse conductor-space preconditioner): " +
-            e.message(),
-        e.column(), e.dimension(), e.condition_estimate());
-  }
-  auto coarse_restrict = [&](const Complex* v, std::vector<Complex>& out) {
-    out.assign(nc, Complex(0.0));
-    for (std::size_t i = 0; i < nf; ++i) out[owner[i]] += v[i];
-  };
-
-  // Two-level additive preconditioner: restricted-Schwarz block solves
-  // plus the coarse conductor-space correction.  Blocks read their
-  // overlapped range but write only their interior, so the sweep writes
-  // each entry of v exactly once.
-  auto precondition = [&](Complex* v) {
-    std::vector<Complex> qv;
-    coarse_restrict(v, qv);
-    const std::vector<Complex> coarse = coarse_lu->solve(qv);
-    std::vector<Complex> buf;
-    std::vector<std::vector<Complex>> sols(pc_blocks.size());
-    for (std::size_t li = 0; li < pc_blocks.size(); ++li) {
-      const PcBlock& pb = pc_blocks[li];
-      buf.resize(pb.hi - pb.lo);
-      for (std::size_t i = pb.lo; i < pb.hi; ++i) buf[i - pb.lo] = v[perm[i]];
-      sols[li] = block_lu[li]->solve(buf);
-    }
-    for (std::size_t li = 0; li < pc_blocks.size(); ++li) {
-      const PcBlock& pb = pc_blocks[li];
-      for (std::size_t i = pb.ib; i < pb.ie; ++i)
-        v[perm[i]] = sols[li][i - pb.lo];
-    }
-    for (std::size_t i = 0; i < nf; ++i) v[i] += coarse[owner[i]];
-  };
-
-  // One GMRES solve per conductor indicator column, fanned across the pool
-  // (each task writes its own columns; a solve itself is serial, so the
-  // result is bit-identical for any pool width).
-  ComplexMatrix zinv_p(nf, nc);
-  std::vector<hmat::GmresReport> reports(nc);
-  std::vector<char> retried(nc, 0);
-  rt::parallel_for(0, nc, [&](std::size_t lo, std::size_t hi) {
-    std::vector<Complex> b(nf), r0(nf), dx(nf);
-    for (std::size_t c = lo; c < hi; ++c) {
-      for (std::size_t i = 0; i < nf; ++i)
-        b[i] = owner[i] == c ? Complex(1.0, 0.0) : Complex(0.0, 0.0);
-
-      // Coarse Galerkin initial guess x0 = P A_c^-1 P^T b: the exact
-      // inter-conductor current split.  GMRES then solves
-      // Z dx = b - Z x0 — only the residual intra-conductor
-      // redistribution — with the tolerance rescaled so convergence still
-      // means ||b - Z x|| <= tol * ||b||.  The guess residual costs one
-      // H-matrix apply, same as a GMRES iteration.
-      std::vector<Complex> qb;
-      coarse_restrict(b.data(), qb);
-      const std::vector<Complex> y0 = coarse_lu->solve(qb);
-      std::vector<Complex> x0(nf);
-      for (std::size_t i = 0; i < nf; ++i) x0[i] = y0[owner[i]];
-      apply_z(x0.data(), r0.data());
-      double bnorm2 = 0.0, rnorm2 = 0.0;
-      for (std::size_t i = 0; i < nf; ++i) {
-        r0[i] = b[i] - r0[i];
-        bnorm2 += std::norm(b[i]);
-        rnorm2 += std::norm(r0[i]);
-      }
-      const double bnorm = std::sqrt(bnorm2);
-      const double rnorm = std::sqrt(rnorm2);
-      const double rescale = rnorm > 0.0 ? bnorm / rnorm : 1.0;
-
-      hmat::GmresReport rep;
-      if (rnorm == 0.0 || rnorm <= ho.gmres_tol * bnorm) {
-        rep.converged = true;
-        rep.residual = bnorm > 0.0 ? rnorm / bnorm : 0.0;
-        std::fill(dx.begin(), dx.end(), Complex(0.0));
-      } else {
-        hmat::GmresOptions gopt;
-        gopt.tol = std::min(1.0, ho.gmres_tol * rescale);
-        gopt.restart = ho.gmres_restart;
-        gopt.max_iterations = ho.gmres_max_iterations;
-        rep = hmat::gmres_solve(apply_z, nf, precondition, r0.data(),
-                                dx.data(), gopt);
-        if (!rep.converged) {
-          // Escalation rung 1 (SOR-ladder shape): double the Krylov space
-          // and the iteration budget, restart from scratch.
-          gopt.restart = ho.gmres_restart * 2;
-          gopt.max_iterations = ho.gmres_max_iterations * 2;
-          const hmat::GmresReport rep2 = hmat::gmres_solve(
-              apply_z, nf, precondition, r0.data(), dx.data(), gopt);
-          retried[c] = 1;
-          rep.iterations += rep2.iterations;
-          rep.residual = rep2.residual;
-          rep.converged = rep2.converged;
-        }
-        // Report residuals relative to ||b||, not the correction system.
-        rep.residual = rep.residual / (rescale > 0.0 ? rescale : 1.0);
-      }
-      reports[c] = rep;
-      for (std::size_t i = 0; i < nf; ++i)
-        zinv_p(i, c) = y0[owner[i]] + dx[i];
-    }
-  });
-
-  std::size_t iters = 0, retries = 0;
-  double worst = 0.0;
-  std::size_t bad = nc;  // first non-converged column, if any
-  for (std::size_t c = 0; c < nc; ++c) {
-    iters += reports[c].iterations;
-    retries += retried[c] ? 1u : 0u;
-    worst = std::max(worst, reports[c].residual);
-    if (!reports[c].converged && bad == nc) bad = c;
-  }
-  if (retries > 0 && (bad == nc || !ho.escalate_on_nonconvergence))
-    diag::emit_warning(diag::Category::kNumeric, "solver",
-                       "hmat solver path: GMRES needed an escalated budget "
-                       "(restart " + std::to_string(ho.gmres_restart * 2) +
-                           ", max " +
-                           std::to_string(ho.gmres_max_iterations * 2) +
-                           ") for " + std::to_string(retries) + " of " +
-                           std::to_string(nc) + " conductor columns");
-  if (bad != nc) {
-    if (!ho.escalate_on_nonconvergence)
-      throw diag::NumericError(
-          "solver",
-          "hmat solver path: GMRES did not converge for conductor column " +
-              std::to_string(bad) + " (" +
-              std::to_string(reports[bad].iterations) + " iterations, " +
-              "relative residual " + std::to_string(reports[bad].residual) +
-              ", n=" + std::to_string(nf) + ")");
-    // Final escalation rung: the dense oracle answers instead.
-    std::size_t nonconverged = 0;
-    for (std::size_t c = 0; c < nc; ++c)
-      if (!reports[c].converged) ++nonconverged;
-    diag::emit_warning(
-        diag::Category::kNumeric, "solver",
-        "hmat solver path: GMRES did not converge for " +
-            std::to_string(nonconverged) +
-            " conductor column(s) even after escalation; falling back to "
-            "the dense solver path");
-    hmat::record_hmat_solve(h.stats().stored_entries, h.stats().full_entries,
-                            h.stats().rank_max, iters, 1, worst);
-    return conductor_impedance_dense(all, owner, nc, opt);
-  }
-  hmat::record_hmat_solve(h.stats().stored_entries, h.stats().full_entries,
-                          h.stats().rank_max, iters, 0, worst);
-  return reduce_to_conductors(zinv_p, owner, nc);
-}
-
-/// Conductor-level complex impedance matrix at the solve frequency:
-/// filaments of a conductor are strictly parallel, so
-/// Z_cond = (P^T Z_fil^{-1} P)^{-1} exactly, for any terminal conditions.
-/// Dispatches dense vs hierarchical per SolveOptions::solver; kAuto picks
-/// the hierarchical path once the filament count clears the measured
-/// crossover.
-ComplexMatrix conductor_impedance(const std::vector<Conductor>& conductors,
-                                  const SolveOptions& opt) {
-  std::vector<peec::Filament> all;
-  std::vector<std::size_t> owner;
-  for (std::size_t c = 0; c < conductors.size(); ++c) {
-    for (const peec::Filament& f : conductors[c].filaments) {
-      all.push_back(f);
-      owner.push_back(c);
-    }
-  }
-  const std::size_t nc = conductors.size();
-  const std::size_t nf = all.size();
-  bool use_hmat =
-      opt.solver == SolverKind::kHmat ||
-      (opt.solver == SolverKind::kAuto && nf >= opt.hmat.auto_crossover);
-  // Degradation ladder (docs/robustness.md "Resource governance"): the
-  // path decision and its budget reservation happen here on the serial
-  // spine, before any pool fan-out, so the outcome is identical at every
-  // pool width.  A dense reservation the budget declines degrades to the
-  // hierarchical path with a typed warning; if even that reservation is
-  // refused, ResourceExhaustedError unwinds (exit code 7).
-  std::optional<res::ScopedReservation> reservation;
-  if (!use_hmat) {
-    const std::size_t dense_bytes = estimate_dense_solve_bytes(nf, nc);
-    reservation.emplace("solver-dense", dense_bytes,
-                        res::OnExhausted::kDecline);
-    if (!reservation->held()) {
-      reservation.reset();
-      res::Budget::global().record_degradation();
-      diag::emit_warning(
-          diag::Category::kResourceExhausted, "solver",
-          "memory budget cannot fit the dense path for n=" +
-              std::to_string(nf) + " filaments (estimate " +
-              std::to_string(dense_bytes) +
-              " bytes); degrading to the hierarchical (hmat) solver");
-      use_hmat = true;
-    }
-  }
-  if (use_hmat && !reservation)
-    reservation.emplace("solver-hmat",
-                        estimate_hmat_solve_bytes(nf, nc, opt.hmat));
-  return use_hmat ? conductor_impedance_hmat(all, owner, nc, opt)
-                  : conductor_impedance_dense(all, owner, nc, opt);
+  return inverse(y);
 }
 
 std::vector<Conductor> block_conductors(const geom::Block& block,
@@ -484,33 +167,12 @@ std::size_t estimate_dense_solve_bytes(std::size_t filaments,
                                1024);
 }
 
-std::size_t estimate_hmat_solve_bytes(std::size_t filaments,
-                                      std::size_t conductors,
-                                      const HmatSolveOptions& opt) {
-  const std::size_t nf = filaments;
-  std::size_t bytes = hmat::estimate_assembly_bytes(nf);
-  // Schwarz preconditioner: every filament sits in one block of complex LU
-  // factors, widened by a quarter-block overlap on both sides (~1.5x).
-  bytes += static_cast<std::size_t>(1.5 * static_cast<double>(nf) *
-                                    static_cast<double>(opt.precond_block)) *
-           sizeof(Complex);
-  // Krylov basis at the restart length, plus the solution columns.
-  bytes += (opt.gmres_restart + 2) * nf * sizeof(Complex);
-  bytes += nf * conductors * sizeof(Complex);
-  return std::max<std::size_t>(bytes, 1024);
-}
-
 std::size_t estimate_extract_bytes(const geom::Block& block,
                                    const SolveOptions& opt) {
   const std::vector<Conductor> conductors = block_conductors(block, opt);
   std::size_t nf = 0;
   for (const Conductor& c : conductors) nf += c.filaments.size();
-  const std::size_t nc = conductors.size();
-  const bool use_hmat =
-      opt.solver == SolverKind::kHmat ||
-      (opt.solver == SolverKind::kAuto && nf >= opt.hmat.auto_crossover);
-  return use_hmat ? estimate_hmat_solve_bytes(nf, nc, opt.hmat)
-                  : estimate_dense_solve_bytes(nf, nc);
+  return estimate_dense_solve_bytes(nf, conductors.size());
 }
 
 std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,

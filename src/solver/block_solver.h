@@ -42,25 +42,19 @@ LoopResult extract_loop(const geom::Block& block, const SolveOptions& opt);
 std::vector<peec::Bar> plane_strips(const geom::Block& block, int plane_layer,
                                     const PlaneOptions& opt);
 
-/// Analytic resident-byte estimates for the two impedance-solver paths
-/// over `filaments` unknowns and `conductors` terminals: the dense path
-/// prices the real fill + complex LU + multi-RHS blocks, the hmat path the
-/// compressed operator (hmat::estimate_assembly_bytes) + Schwarz blocks +
-/// Krylov basis.  These drive the memory budget's degradation ladder in
+/// Analytic resident-byte estimate of the impedance solve over `filaments`
+/// unknowns and `conductors` terminals: the real fill + complex LU +
+/// multi-RHS blocks.  It prices the budget reservation in
 /// conductor_impedance and serve's cost-based admission
 /// (docs/robustness.md "Resource governance").
 std::size_t estimate_dense_solve_bytes(std::size_t filaments,
                                        std::size_t conductors);
-std::size_t estimate_hmat_solve_bytes(std::size_t filaments,
-                                      std::size_t conductors,
-                                      const HmatSolveOptions& opt);
 
 /// Cost of extracting `block` without solving anything: meshes the
 /// conductors exactly as extraction would (cheap — no field solves),
-/// counts filaments, and returns the estimate of the path the dense/hmat
-/// dispatch would pick.  Plane strips are included when the block
-/// configures planes, so this bounds both extract_partial and
-/// extract_loop.
+/// counts filaments, and returns estimate_dense_solve_bytes.  Plane strips
+/// are included when the block configures planes, so this bounds both
+/// extract_partial and extract_loop.
 std::size_t estimate_extract_bytes(const geom::Block& block,
                                    const SolveOptions& opt);
 

@@ -11,8 +11,10 @@
 #include "diag/error.h"
 #include "diag/warnings.h"
 #include "geom/technology.h"
+#include "numeric/spline.h"
 #include "numeric/units.h"
 #include "run/fault_injection.h"
+#include "solver/frequency.h"
 
 namespace rlcx::core {
 namespace {
@@ -137,6 +139,23 @@ TEST(TableCache, KeyTextCoversEveryInput) {
   const geom::Technology hot = tech.at_temperature(100.0);
   EXPECT_NE(base, TableCache::key_text(hot, 6, geom::PlaneConfig::kNone,
                                        grid, opt));
+}
+
+TEST(TableCache, DefaultCliKeyIsPinned) {
+  // The key of `rlcx tables` with every flag at its default (layer 6,
+  // planes none, --points 4, --trise-ps 200).  Entries written by earlier
+  // builds must stay addressable, so this id may change only together
+  // with kCacheKeyVersion.
+  const geom::Technology tech = geom::Technology::generic_025um();
+  TableGrid grid;
+  grid.widths = geomspace(um(1), um(20), 4);
+  grid.spacings = geomspace(um(0.5), um(10), 4);
+  grid.lengths = geomspace(um(100), um(6000), 4);
+  solver::SolveOptions opt;
+  opt.frequency = solver::significant_frequency(200e-12);
+  const std::string text =
+      TableCache::key_text(tech, 6, geom::PlaneConfig::kNone, grid, opt);
+  EXPECT_EQ(TableCache::key_id(text), "ec1dfa62a094bd3c") << text;
 }
 
 TEST(TableCache, KeyHashIsStableFnv1a64) {

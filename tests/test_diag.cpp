@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "diag/error.h"
@@ -180,6 +182,36 @@ TEST(DiagWarnings, DedupScopesNestAsOneWindow) {
     emit_warning(Category::kCache, "cache", "same");
   }
   EXPECT_EQ(seen.size(), 2u);
+}
+
+TEST(DiagWarnings, HandlersOnTwoThreadsDestroyedInPushOrder) {
+  // Thread A installs first, thread B second; A's handler is destroyed
+  // while B's is still alive.  A warning emitted after that must reach B's
+  // live handler, never A's destroyed one.
+  std::vector<Warning> a_seen, b_seen;
+  std::promise<void> a_installed, b_installed, a_destroyed;
+  std::thread a([&] {
+    {
+      const ScopedWarningHandler h(
+          [&](const Warning& w) { a_seen.push_back(w); });
+      a_installed.set_value();
+      b_installed.get_future().wait();
+    }
+    a_destroyed.set_value();
+  });
+  std::thread b([&] {
+    a_installed.get_future().wait();
+    const ScopedWarningHandler h(
+        [&](const Warning& w) { b_seen.push_back(w); });
+    b_installed.set_value();
+    a_destroyed.get_future().wait();
+    emit_warning(Category::kNumeric, "table", "after A left");
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_seen.empty());
+  ASSERT_EQ(b_seen.size(), 1u);
+  EXPECT_EQ(b_seen[0].message, "after A left");
 }
 
 }  // namespace

@@ -336,8 +336,8 @@ TEST(BatchEngine, PoolWidthDoesNotChangeResults) {
 TEST(BatchEngine, BatchCompositionDoesNotChangeValues) {
   // The same pair evaluated alone and inside a larger batch must yield
   // the identical double (values are elementwise; the reduction order is
-  // fixed per slot) — this is what makes the memo flush boundary and the
-  // hmat row batching unobservable.
+  // fixed per slot) — this is what makes the memo flush boundary
+  // unobservable.
   PartialOptions opt;
   const Bar b1 = make_bar(um(1), um(0.5), um(300));
   const Bar b2 = make_bar(um(1), um(0.5), um(300), um(2));

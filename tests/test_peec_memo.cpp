@@ -1,14 +1,12 @@
 // The relative-geometry kernel memo (PairKey) and the two-pass matrix fill.
 //
 // Contracts pinned here:
-//  * PairKey is invariant under translation, and — only with
-//    fold_symmetries — under per-axis mirror reflection and bar exchange;
-//    it separates genuinely different geometry;
-//  * the default memoized fill equals the direct fill element-exactly — on
-//    a dyadic uniform mesh (where translation-equal pairs are bit-identical
+//  * PairKey is invariant under translation, keeps mirrored and exchanged
+//    copies apart, and separates genuinely different geometry;
+//  * the memoized fill equals the direct fill element-exactly — on a
+//    dyadic uniform mesh (where translation-equal pairs are bit-identical
 //    and the memo collapses them) and on a perturbed mesh (where every pair
-//    is its own class); the opt-in symmetry folding reorders the bracket
-//    for mirrored pairs, so it agrees to a tight tolerance instead;
+//    is its own class);
 //  * the memo hit rate clears 90 % on a skin-depth-meshed microstrip block
 //    (the geometry the paper's tables are built from);
 //  * the fill is element-exact deterministic across pool widths.
@@ -52,18 +50,15 @@ TEST(PairKey, TranslationInvariant) {
   EXPECT_EQ(make_pair_key(a1, b1, q), make_pair_key(a2, b2, q));
 }
 
-TEST(PairKey, ExchangeAndMirrorInvariantWhenFolded) {
+TEST(PairKey, MirrorAndExchangeKeptApart) {
   const double q = 1e-12;
   const Bar a = make_bar(1.0, 0.5, 40.0, 0.0, 0.0);
   const Bar b = make_bar(2.0, 0.25, 40.0, 3.0, 1.5, 5.0);
-  const PairKey k = make_pair_key(a, b, q, /*fold_symmetries=*/true);
-  EXPECT_EQ(k, make_pair_key(b, a, q, true));
   // Mirror the pair about the t = 0 plane (centers negate, widths keep).
   const Bar am = make_bar(1.0, 0.5, 40.0, -1.0, 0.0);
   const Bar bm = make_bar(2.0, 0.25, 40.0, -5.0, 1.5, 5.0);
-  EXPECT_EQ(k, make_pair_key(am, bm, q, true));
-  // The default (translation-only) key deliberately keeps mirrored copies
-  // apart: their kernel evaluations differ in the last ulp.
+  // The translation-only key deliberately keeps mirrored and exchanged
+  // copies apart: their kernel evaluations differ in the last ulp.
   EXPECT_NE(make_pair_key(a, b, q), make_pair_key(am, bm, q));
   EXPECT_NE(make_pair_key(a, b, q), make_pair_key(b, a, q));
 }
@@ -147,36 +142,6 @@ TEST(MemoFill, ElementExactOnPerturbedMesh) {
   for (std::size_t i = 0; i < direct.rows(); ++i)
     for (std::size_t j = 0; j < direct.cols(); ++j)
       EXPECT_EQ(direct(i, j), memo(i, j)) << "(" << i << "," << j << ")";
-}
-
-TEST(MemoFill, SymmetryFoldingTightToleranceAndMoreReuse) {
-  // Folding mirror/exchange symmetries merges classes whose kernel inputs
-  // are reflections of each other — mathematically equal, but the bracket
-  // sums its 64 mutually-cancelling terms in a different order, so the
-  // agreement is limited by the kernel's cancellation noise (~1e-9 of the
-  // matrix scale here), not by one ulp.  The folded fill must stay within
-  // that noise floor and must evaluate strictly fewer kernels than the
-  // translation-only key.
-  const std::vector<Filament> fils = dyadic_mesh();
-  PartialOptions opt;
-  opt.memo = false;
-  const RealMatrix direct = partial_inductance_matrix(fils, opt);
-  opt.memo = true;
-  FillStats plain;
-  partial_inductance_matrix(fils, opt, nullptr, &plain);
-  opt.memo_fold_symmetries = true;
-  FillStats folded;
-  const RealMatrix fold = partial_inductance_matrix(fils, opt, nullptr, &folded);
-
-  EXPECT_LT(folded.kernel_evals, plain.kernel_evals);
-  double scale = 0.0;
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      scale = std::max(scale, std::abs(direct(i, j)));
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      EXPECT_NEAR(direct(i, j), fold(i, j), 1e-7 * scale)
-          << "(" << i << "," << j << ")";
 }
 
 TEST(MemoFill, SignsFoldedLikeDirectFill) {

@@ -1,17 +1,15 @@
-// Resource governance (src/res): the memory budget, its estimators, the
-// dense->hmat degradation ladder, cost-based admission and bad_alloc
-// containment.
+// Resource governance (src/res): the memory budget, its estimators,
+// reserve-or-refuse at the impedance solve, cost-based admission and
+// bad_alloc containment.
 //
 // The contract under test (docs/robustness.md "Resource governance"):
 //   * estimators predict a stage's resident bytes to within 2x of the
 //     measured allocation peak;
-//   * an over-budget dense solve degrades to the hierarchical path (one
-//     typed warning, one counted degradation) before anything is refused;
 //   * a refusal is the typed diag::ResourceExhaustedError (exit code 7),
 //     raised at the coarse serial reservation points — each of which is
-//     the `alloc_fail` injection site, so every ladder rung is drivable
+//     the `alloc_fail` injection site, so every refusal is drivable
 //     without real memory pressure;
-//   * the degrade/refuse decision is identical across pool widths;
+//   * the refuse decision is identical across pool widths;
 //   * std::bad_alloc is contained at the request boundary as exit code 7.
 #include <gtest/gtest.h>
 
@@ -29,10 +27,6 @@
 #include "diag/warnings.h"
 #include "geom/block.h"
 #include "geom/technology.h"
-#include "hmat/cluster_tree.h"
-#include "hmat/hmatrix.h"
-#include "hmat/kernel_matrix.h"
-#include "hmat/stats.h"
 #include "numeric/matrix.h"
 #include "numeric/units.h"
 #include "peec/assembly.h"
@@ -203,8 +197,7 @@ TEST_F(ResTest, FillEstimateWithin2xOfMeasuredPeak) {
 
 TEST_F(ResTest, DenseSolveEstimateWithin2xOfMeasuredPeak) {
   const geom::Block blk = make_block(3, 2.0, 4.0, 800.0);
-  solver::SolveOptions opt = meshed_options(5, 5);
-  opt.solver = solver::SolverKind::kDense;
+  const solver::SolveOptions opt = meshed_options(5, 5);
   const std::size_t estimate = solver::estimate_extract_bytes(blk, opt);
   res::Budget& b = res::Budget::global();
   const std::uint64_t before = b.in_use();
@@ -224,66 +217,31 @@ TEST_F(ResTest, DenseSolveEstimateWithin2xOfMeasuredPeak) {
       << estimate;
 }
 
-// ---- The degradation ladder ------------------------------------------
+// ---- Reserve or refuse ----------------------------------------------
 
-TEST_F(ResTest, BudgetForcesDenseToHmatDegradation) {
-  // Big enough that the dense footprint (~24 n^2 bytes) dwarfs the hmat
-  // one (~2 n^2 + O(n)): 4 traces x 5 x 8 = 160 filaments.
+TEST_F(ResTest, BudgetBelowDenseEstimateRefusesTyped) {
+  // 4 traces x 5 x 8 = 160 filaments.
   const geom::Block blk = make_block(4, 2.0, 4.0, 1200.0);
-  solver::SolveOptions opt = meshed_options(5, 8);
-  opt.solver = solver::SolverKind::kDense;
+  const solver::SolveOptions opt = meshed_options(5, 8);
   res::Budget& b = res::Budget::global();
   const std::size_t dense_est = solver::estimate_extract_bytes(blk, opt);
-
-  // Oracle first, unlimited.
-  const solver::PartialResult dense = solver::extract_partial(blk, opt);
-
-  // A budget one byte short of the dense path: the ladder must degrade,
-  // warn once, and still produce a close answer.
   const res::Stats s0 = b.stats();
-  const hmat::SolveStats h0 = hmat::solve_stats_total();
-  b.set_limit(b.in_use() + dense_est - 1);
-  std::vector<diag::Warning> warnings;
-  solver::PartialResult degraded = dense;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    degraded = solver::extract_partial(blk, opt);
-  }
-  b.set_limit(0);
-  const res::Stats s1 = b.stats();
-  const hmat::SolveStats h1 = hmat::solve_stats_total();
-  EXPECT_EQ(s1.degradations - s0.degradations, 1u);
-  EXPECT_EQ(s1.refusals - s0.refusals, 0u);
-  EXPECT_EQ(h1.hmat_solves - h0.hmat_solves, 1u);
-  ASSERT_FALSE(warnings.empty());
-  EXPECT_EQ(warnings[0].category, diag::Category::kResourceExhausted);
-  EXPECT_NE(warnings[0].message.find("degrading"), std::string::npos);
-  // Graceful means no loss of answer: hmat agrees with dense tightly.
-  const double rel = std::abs(degraded.inductance(0, 0) -
-                              dense.inductance(0, 0)) /
-                     std::abs(dense.inductance(0, 0));
-  EXPECT_LT(rel, 1e-6);
-}
-
-TEST_F(ResTest, BudgetBelowBothPathsRefusesTyped) {
-  const geom::Block blk = make_block(4, 2.0, 4.0, 1200.0);
-  solver::SolveOptions opt = meshed_options(5, 8);
-  opt.solver = solver::SolverKind::kDense;
-  res::Budget& b = res::Budget::global();
-  const res::Stats s0 = b.stats();
-  b.set_limit(1);  // nothing fits (but not 0 = unlimited)
   std::vector<diag::Warning> warnings;
   {
     const diag::ScopedWarningHandler capture(
         [&](const diag::Warning& w) { warnings.push_back(w); });
+    // One byte short of the solve's reservation: refused, nothing solved.
+    b.set_limit(b.in_use() + dense_est - 1);
+    EXPECT_THROW(solver::extract_partial(blk, opt),
+                 diag::ResourceExhaustedError);
+    b.set_limit(1);  // nothing fits (but not 0 = unlimited)
     EXPECT_THROW(solver::extract_partial(blk, opt),
                  diag::ResourceExhaustedError);
   }
   b.set_limit(0);
   const res::Stats s1 = b.stats();
-  EXPECT_EQ(s1.degradations - s0.degradations, 1u);  // ladder ran first
-  EXPECT_EQ(s1.refusals - s0.refusals, 1u);
+  EXPECT_EQ(s1.refusals - s0.refusals, 2u);
+  EXPECT_TRUE(warnings.empty()) << "a refusal is an error, not a warning";
 }
 
 // ---- alloc_fail at every reservation site ----------------------------
@@ -294,15 +252,6 @@ TEST_F(ResTest, AllocFailAtPeecFillThrowsTyped) {
   EXPECT_THROW(
       peec::partial_inductance_matrix(fils, peec::PartialOptions{}),
       diag::ResourceExhaustedError);
-}
-
-TEST_F(ResTest, AllocFailAtHmatAssemblyThrowsTyped) {
-  const std::vector<peec::Filament> fils = strip_mesh(48);
-  const hmat::ClusterTree tree(fils, 8);
-  const hmat::KernelMatrix km(fils, peec::PartialOptions{});
-  run::FaultInjector::global().set_schedule("alloc_fail:1");
-  EXPECT_THROW(hmat::HMatrix(km, tree, hmat::HmatOptions{}),
-               diag::ResourceExhaustedError);
 }
 
 TEST_F(ResTest, AllocFailAtTableGridFailsBeforeFirstSolve) {
@@ -316,41 +265,17 @@ TEST_F(ResTest, AllocFailAtTableGridFailsBeforeFirstSolve) {
   EXPECT_EQ(core::table_build_solve_count(), 0u);
 }
 
-TEST_F(ResTest, AllocFailAtDenseProbeDegradesToHmat) {
+TEST_F(ResTest, AllocFailAtDenseSolveThrowsTyped) {
   const geom::Block blk = make_block(3, 2.0, 4.0, 800.0);
-  solver::SolveOptions opt = meshed_options(4, 4);
-  opt.solver = solver::SolverKind::kDense;
+  const solver::SolveOptions opt = meshed_options(4, 4);
   const res::Stats s0 = res::Budget::global().stats();
   run::FaultInjector::global().set_schedule("alloc_fail:1");
-  std::vector<diag::Warning> warnings;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    const solver::PartialResult r = solver::extract_partial(blk, opt);
-    EXPECT_GT(r.inductance(0, 0), 0.0);
-  }
+  EXPECT_THROW(solver::extract_partial(blk, opt),
+               diag::ResourceExhaustedError);
   const res::Stats s1 = res::Budget::global().stats();
-  EXPECT_EQ(s1.degradations - s0.degradations, 1u);
-  ASSERT_FALSE(warnings.empty());
-  EXPECT_EQ(warnings[0].category, diag::Category::kResourceExhausted);
-}
-
-TEST_F(ResTest, PersistentAllocFailExhaustsTheLadder) {
-  const geom::Block blk = make_block(3, 2.0, 4.0, 800.0);
-  solver::SolveOptions opt = meshed_options(4, 4);
-  opt.solver = solver::SolverKind::kDense;
-  const res::Stats s0 = res::Budget::global().stats();
-  run::FaultInjector::global().set_schedule("alloc_fail:1+");
-  std::vector<diag::Warning> warnings;
-  {
-    const diag::ScopedWarningHandler capture(
-        [&](const diag::Warning& w) { warnings.push_back(w); });
-    EXPECT_THROW(solver::extract_partial(blk, opt),
-                 diag::ResourceExhaustedError);
-  }
-  const res::Stats s1 = res::Budget::global().stats();
-  EXPECT_EQ(s1.degradations - s0.degradations, 1u);
-  EXPECT_GE(s1.refusals - s0.refusals, 1u);
+  EXPECT_EQ(s1.refusals - s0.refusals, 1u);
+  // The injector is spent: the same solve now fits.
+  EXPECT_GT(solver::extract_partial(blk, opt).inductance(0, 0), 0.0);
 }
 
 TEST_F(ResTest, AllocFailAtAdmissionRefuses) {
@@ -365,13 +290,12 @@ TEST_F(ResTest, AllocFailAtAdmissionRefuses) {
 
 // ---- Pool-width determinism ------------------------------------------
 
-TEST_F(ResTest, DegradationDecisionIdenticalAcrossPoolWidths) {
+TEST_F(ResTest, RefusalDecisionIdenticalAcrossPoolWidths) {
   const geom::Block blk = make_block(3, 2.0, 4.0, 800.0);
-  solver::SolveOptions opt = meshed_options(4, 4);
-  opt.solver = solver::SolverKind::kDense;
+  const solver::SolveOptions opt = meshed_options(4, 4);
   struct Run {
     double l00;
-    std::uint64_t degradations;
+    std::uint64_t refusals;
     std::uint64_t fault_calls;
   };
   std::vector<Run> runs;
@@ -379,34 +303,27 @@ TEST_F(ResTest, DegradationDecisionIdenticalAcrossPoolWidths) {
     rt::Pool::set_global_threads(width);
     const res::Stats s0 = res::Budget::global().stats();
     run::FaultInjector::global().set_schedule("alloc_fail:1");
-    std::vector<diag::Warning> sink;
-    double l00 = 0.0;
-    {
-      const diag::ScopedWarningHandler capture(
-          [&](const diag::Warning& w) { sink.push_back(w); });
-      l00 = solver::extract_partial(blk, opt).inductance(0, 0);
-    }
+    EXPECT_THROW(solver::extract_partial(blk, opt),
+                 diag::ResourceExhaustedError);
     const std::uint64_t calls =
         run::FaultInjector::global().calls("alloc_fail");
     run::FaultInjector::global().clear();
     const res::Stats s1 = res::Budget::global().stats();
-    runs.push_back(Run{l00, s1.degradations - s0.degradations, calls});
+    const double l00 = solver::extract_partial(blk, opt).inductance(0, 0);
+    runs.push_back(Run{l00, s1.refusals - s0.refusals, calls});
   }
   rt::Pool::set_global_threads(0);
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    // The decision (degrade exactly once, exactly two reservation
-    // attempts) and the answer must not depend on pool width: the
-    // reservation points are serial by design.
-    EXPECT_EQ(runs[i].degradations, runs[0].degradations)
-        << "width case " << i;
+    // The decision (refuse at the first and only reservation attempt) and
+    // the answer must not depend on pool width: the reservation point is
+    // serial by design.
+    EXPECT_EQ(runs[i].refusals, runs[0].refusals) << "width case " << i;
     EXPECT_EQ(runs[i].fault_calls, runs[0].fault_calls)
         << "width case " << i;
-    EXPECT_NEAR(runs[i].l00, runs[0].l00,
-                1e-9 * std::abs(runs[0].l00))
-        << "width case " << i;
+    EXPECT_EQ(runs[i].l00, runs[0].l00) << "width case " << i;
   }
-  EXPECT_EQ(runs[0].degradations, 1u);
-  EXPECT_EQ(runs[0].fault_calls, 2u);  // dense probe + hmat reserve
+  EXPECT_EQ(runs[0].refusals, 1u);
+  EXPECT_EQ(runs[0].fault_calls, 1u);
 }
 
 // ---- bad_alloc containment -------------------------------------------

@@ -236,5 +236,34 @@ TEST(TaskGroup, NestedRunExecutesInline) {
   EXPECT_EQ(inner.load(), 4);
 }
 
+TEST(TaskGroup, ManyTinyFanOutsFromExternalThreads) {
+  // Several external threads each make thousands of 2-chunk fan-outs on a
+  // width-2 pool: a helping waiter regularly sees the last task finish
+  // while the worker is still inside task_done.  The group (on the
+  // waiter's stack) must outlive that call; under TSan/ASan a premature
+  // destroy shows up as a use-after-free.
+  Pool pool(2);
+  constexpr int kThreads = 4;
+  constexpr int kFanOuts = 2000;
+  std::atomic<long> sum{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ParallelOptions opt;
+      opt.grain = 1;
+      opt.pool = &pool;
+      for (int i = 0; i < kFanOuts; ++i)
+        parallel_for(0, 2,
+                     [&](std::size_t lo, std::size_t hi) {
+                       sum.fetch_add(static_cast<long>(hi - lo),
+                                     std::memory_order_relaxed);
+                     },
+                     opt);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(sum.load(), 2L * kThreads * kFanOuts);
+}
+
 }  // namespace
 }  // namespace rlcx::rt

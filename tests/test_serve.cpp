@@ -232,10 +232,10 @@ TEST(Admission, BoundsAreValidated) {
 struct TempDir {
   std::filesystem::path path;
   TempDir() {
+    // The pid keeps concurrent test processes (ctest -j) apart.
     path = std::filesystem::temp_directory_path() /
-           ("rlcx_test_serve_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(counter()++));
+           ("rlcx_test_serve_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter()++));
     std::filesystem::create_directories(path);
   }
   ~TempDir() {
@@ -548,6 +548,33 @@ TEST(ServeHardening, HealthAnswersWithoutAnAdmissionSlot) {
   EXPECT_NE(health.out.find("active 1\n"), std::string::npos)
       << health.out;
   server.admission().leave();
+}
+
+TEST(ServeHardening, MidBuildRefusalIsStatus7AndHealthStillAnswers) {
+  struct InjectorReset {
+    ~InjectorReset() { run::FaultInjector::global().clear(); }
+  } reset;
+  const TempDir dir;
+  std::ostringstream diag;
+  Server server(test_config(dir), diag);
+  // Per-request alloc_fail order on a cold cache: 1 = admission estimate,
+  // 2 = table-grid reservation, 3 = the first grid point's impedance-solve
+  // reservation — refused mid-build, with no cheaper path to fall back to.
+  run::FaultInjector::global().set_schedule("alloc_fail:3");
+  const std::vector<Frame> replies = drive(
+      server,
+      encode_frame(FrameKind::kRequest, join_request(extract_argv())) +
+          encode_frame(FrameKind::kRequest, "health"));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].kind, FrameKind::kResponse);
+  const Response refused = parse_response(replies[0].payload);
+  EXPECT_EQ(refused.status, 7) << refused.err;
+  EXPECT_NE(refused.err.find("resource-exhausted"), std::string::npos)
+      << refused.err;
+  const Response health = parse_response(replies[1].payload);
+  EXPECT_EQ(health.status, 0);
+  EXPECT_EQ(health.out.substr(0, 8), "healthy\n") << health.out;
+  EXPECT_NE(health.out.find("mem-refusals "), std::string::npos);
 }
 
 TEST(ServeHardening, TransientAcceptFailureBacksOffAndRecovers) {
